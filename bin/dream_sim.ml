@@ -45,6 +45,11 @@ let scenario_of capacity num_switches switches_per_task tasks window duration ep
   let* () = check (capacity > 0) (sp "--capacity must be positive (got %d)" capacity) in
   let* () = check (num_switches > 0) (sp "--switches must be positive (got %d)" num_switches) in
   let* () =
+    check
+      (num_switches <= Dream_traffic.Switch_id.max_switches)
+      (sp "--switches must be at most %d (got %d)" Dream_traffic.Switch_id.max_switches num_switches)
+  in
+  let* () =
     check (switches_per_task > 0)
       (sp "--switches-per-task must be positive (got %d)" switches_per_task)
   in

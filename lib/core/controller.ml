@@ -138,6 +138,98 @@ let set_robustness rob (v : Metrics.robustness) =
   Ctr.set rob.breaker_skips v.Metrics.breaker_skips;
   Ctr.set rob.sheds v.Metrics.sheds
 
+(* ---- rule sync ---- *)
+
+(* One task's rules on one switch, brought to the task's desired set.  The
+   installed rules ([Data_plane.rules_of]) and the desired ones
+   ([Task.desired_rules]) both come in [Prefix.compare] order without
+   duplicates, so a single merge walk of the two lists finds what to
+   remove and what to install.  Comparing against what the switch holds
+   needs no record of deferred, failed or crash-lost installs: whatever is
+   missing is simply missing again next epoch. *)
+module Rule_sync = struct
+  type tally = { mutable fresh : Prefix.Set.t; mutable landed : int; mutable failed : int }
+
+  let new_tally () = { fresh = Prefix.Set.empty; landed = 0; failed = 0 }
+
+  let remove_one journal epoch dp owner p budget =
+    (match journal with
+    | None -> ()
+    | Some sink ->
+      Journal.append sink
+        (Journal.Delete { epoch; task_id = owner; switch = Data_plane.id dp; prefix = p }));
+    match Data_plane.remove dp ~owner p with
+    | Ok _ -> budget - 1
+    | Error (`Down | `Unreachable) -> budget
+
+  let rec remove_walk journal epoch dp owner installed desired budget =
+    if budget <= 0 then budget
+    else begin
+      match installed with
+      | [] -> budget
+      | p :: rest -> begin
+        match desired with
+        | [] ->
+          remove_walk journal epoch dp owner rest desired
+            (remove_one journal epoch dp owner p budget)
+        | q :: later ->
+          let c = Prefix.compare p q in
+          if c > 0 then remove_walk journal epoch dp owner installed later budget
+          else if c = 0 then remove_walk journal epoch dp owner rest later budget
+          else
+            remove_walk journal epoch dp owner rest desired
+              (remove_one journal epoch dp owner p budget)
+      end
+    end
+
+  let remove_stale ~journal ~epoch dp ~owner ~desired ~budget =
+    remove_walk journal epoch dp owner (Data_plane.rules_of dp ~owner) desired budget
+
+  let install_one journal epoch dp owner p budget tally =
+    (match journal with
+    | None -> ()
+    | Some sink ->
+      Journal.append sink
+        (Journal.Install { epoch; task_id = owner; switch = Data_plane.id dp; prefix = p }));
+    match Data_plane.install dp ~owner p with
+    | Ok () ->
+      tally.fresh <- Prefix.Set.add p tally.fresh;
+      tally.landed <- tally.landed + 1;
+      budget - 1
+    | Error `Failed ->
+      (* The attempt consumed an update slot; the rule stays desired and is
+         retried next epoch. *)
+      tally.failed <- tally.failed + 1;
+      budget - 1
+    | Error (`Capacity | `Duplicate | `Down | `Unreachable) -> budget
+
+  let rec install_walk journal epoch dp owner desired installed budget tally =
+    if budget <= 0 then budget
+    else begin
+      match desired with
+      | [] -> budget
+      | p :: rest -> begin
+        match installed with
+        | [] ->
+          install_walk journal epoch dp owner rest installed
+            (install_one journal epoch dp owner p budget tally) tally
+        | q :: later ->
+          let c = Prefix.compare p q in
+          if c > 0 then install_walk journal epoch dp owner desired later budget tally
+          else if c = 0 then install_walk journal epoch dp owner rest later budget tally
+          else
+            install_walk journal epoch dp owner rest installed
+              (install_one journal epoch dp owner p budget tally) tally
+      end
+    end
+
+  let install_missing ~journal ~epoch dp ~owner ~desired ~budget tally =
+    tally.fresh <- Prefix.Set.empty;
+    tally.landed <- 0;
+    tally.failed <- 0;
+    install_walk journal epoch dp owner desired (Data_plane.rules_of dp ~owner) budget tally
+end
+
 type t = {
   config : Config.t;
   allocator : Allocator.t;
@@ -170,12 +262,18 @@ type t = {
       (* per-tick numeric scratch (rule-sync budgets and the like): reset at
          the top of every tick, never reallocated once slots hit their
          high-water marks *)
+  tally : Rule_sync.tally; (* install-pass scratch, reused per task and switch *)
 }
 
 let create ~config ~strategy ~num_switches ~capacity =
   if num_switches <= 0 then
     invalid_arg
       (Printf.sprintf "Controller.create: num_switches must be positive, got %d" num_switches);
+  if num_switches > Switch_id.max_switches then
+    invalid_arg
+      (Printf.sprintf
+         "Controller.create: num_switches must be at most %d (Switch_id.max_switches), got %d"
+         Switch_id.max_switches num_switches);
   if capacity <= 0 then
     invalid_arg (Printf.sprintf "Controller.create: capacity must be positive, got %d" capacity);
   (* Same positive-form checks as Fault_model.validate: NaN fails every
@@ -243,6 +341,7 @@ let create ~config ~strategy ~num_switches ~capacity =
     breakers;
     storm_pending = 0;
     arena = Arena.create ();
+    tally = Rule_sync.new_tally ();
   }
 
 let epoch t = t.epoch
@@ -537,15 +636,15 @@ let install_miss t r sw_id =
 
 let degrade_fresh t r sw_id pairs =
   let miss = install_miss t r sw_id in
-  let fresh =
-    match Switch_id.Map.find_opt sw_id r.fresh_rules with
-    | Some set -> set
-    | None -> Prefix.Set.empty
-  in
-  List.map
-    (fun (p, v) ->
-      if miss > 0.0 && Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v))
-    pairs
+  if not (miss > 0.0) then pairs
+  else begin
+    let fresh =
+      match Switch_id.Map.find_opt sw_id r.fresh_rules with
+      | Some set -> set
+      | None -> Prefix.Set.empty
+    in
+    List.map (fun (p, v) -> if Prefix.Set.mem p fresh then (p, v *. (1.0 -. miss)) else (p, v)) pairs
+  end
 
 (* Counter fetch over a perfectly reliable control channel — the paper's
    assumption, and the behaviour when no fault spec is configured. *)
@@ -556,8 +655,7 @@ let read_counters_reliable t r =
     Array.to_list t.switches
     |> List.filter_map (fun sw ->
            let sw_id = Switch.id sw in
-           let rules = Tcam.rules_of (Switch.tcam sw) ~owner:id in
-           if rules = [] then None
+           if Tcam.used_by (Switch.tcam sw) ~owner:id = 0 then None
            else begin
              let aggregate = Epoch_data.switch_view data sw_id in
              let pairs = Tcam.read (Switch.tcam sw) ~owner:id aggregate in
@@ -604,14 +702,14 @@ let estimate_fetch_cost t r =
         match breaker_for t sw_id with
         | Some br when not (Breaker.allow br) -> acc
         | _ -> begin
-          match Data_plane.rules_of dp ~owner:id with
-          | [] -> acc
+          match Data_plane.rule_count dp ~owner:id with
+          | 0 -> acc
           | rules ->
             let factor = Data_plane.latency_factor dp in
             if Data_plane.partitioned dp then acc +. (costs.Delay_model.rtt_ms *. factor)
             else
               acc
-              +. ((costs.Delay_model.fetch_per_rule_ms *. float_of_int (List.length rules)
+              +. ((costs.Delay_model.fetch_per_rule_ms *. float_of_int rules
                   +. costs.Delay_model.rtt_ms)
                  *. factor)
         end
@@ -659,8 +757,8 @@ let read_counters_faulty t r ~retry_budget ~fault_ms ~deadline ~shed =
           end
         end
         else begin
-          let rules = Data_plane.rules_of dp ~owner:id in
-          if rules <> [] then begin
+          let rules = Data_plane.rule_count dp ~owner:id in
+          if rules > 0 then begin
             match breaker_for t sw_id with
             | Some br when not (Breaker.allow br) ->
               Ctr.incr t.rob.breaker_skips;
@@ -670,7 +768,7 @@ let read_counters_faulty t r ~retry_budget ~fault_ms ~deadline ~shed =
               let aggregate = Epoch_data.switch_view data sw_id in
               let factor = Data_plane.latency_factor dp in
               let base =
-                (costs.Delay_model.fetch_per_rule_ms *. float_of_int (List.length rules))
+                (costs.Delay_model.fetch_per_rule_ms *. float_of_int rules)
                 +. costs.Delay_model.rtt_ms
               in
               (* The aggregate TCAM stats already price [base] per issued
@@ -712,7 +810,7 @@ let read_counters_faulty t r ~retry_budget ~fault_ms ~deadline ~shed =
               (match attempt 0 with
               | `Fetched pairs ->
                 (match br_opt with Some br -> record_breaker_success t sw_id br | None -> ());
-                let lost = List.length rules - List.length pairs in
+                let lost = rules - List.length pairs in
                 if lost > 0 then Ctr.add t.rob.counters_lost lost;
                 let pairs = degrade_fresh t r sw_id pairs in
                 r.stale_counters <- Switch_id.Map.add sw_id pairs r.stale_counters;
@@ -1067,12 +1165,8 @@ let[@hot] tick t =
         Task.configure r.task ~allocations;
         configure_clock := !configure_clock +. (now () -. t0);
         configure_gc := Obs.Gc_stats.add !configure_gc (Obs.Gc_stats.sub (gc_now ()) gc0);
-        let per_switch =
-          Array.map
-            (fun sw -> Prefix.Set.of_list (Task.desired_rules r.task (Switch.id sw)))
-            t.switches
-        in
-        (r, per_switch))
+        let desired = Array.map (fun sw -> Task.desired_rules r.task (Switch.id sw)) t.switches in
+        (r, desired))
       survivors
   in
   (* Per-switch rule-update budgets: a software switch applies everything,
@@ -1087,62 +1181,42 @@ let[@hot] tick t =
   (* Pass 1: removals. *)
   let removals_by_task = Hashtbl.create 16 in
   List.iter
-    (fun (r, per_switch) ->
+    (fun (r, desired) ->
       let id = Task.id r.task in
       let removed = ref 0 in
-      Array.iteri
-        (fun i dp ->
-          List.iter
-            (fun p ->
-              if (not (Prefix.Set.mem p per_switch.(i))) && budgets.{i} > 0 then begin
-                jot t
-                  (Journal.Delete { epoch = t.epoch; task_id = id; switch = Data_plane.id dp; prefix = p });
-                match Data_plane.remove dp ~owner:id p with
-                | Ok _ ->
-                  budgets.{i} <- budgets.{i} - 1;
-                  incr removed
-                | Error (`Down | `Unreachable) -> ()
-              end)
-            (Data_plane.rules_of dp ~owner:id))
-        t.planes;
+      for i = 0 to Array.length t.planes - 1 do
+        let budget =
+          Rule_sync.remove_stale ~journal:t.journal ~epoch:t.epoch t.planes.(i) ~owner:id
+            ~desired:desired.(i) ~budget:budgets.{i}
+        in
+        removed := !removed + (budgets.{i} - budget);
+        budgets.{i} <- budget
+      done;
       if tracing && !removed > 0 then Hashtbl.replace removals_by_task id !removed)
     desired_of;
   (* Pass 2: installs, newest rules skipped once a switch's budget runs
      out or its table is full.  Installs onto a switch that recovered this
      epoch are the full rule-set reinstall its crash demands. *)
+  let tally = t.tally in
   List.iter
-    (fun (r, per_switch) ->
+    (fun (r, desired) ->
       let id = Task.id r.task in
       let fresh = ref Switch_id.Map.empty in
       let installs = ref Switch_id.Map.empty in
-      Array.iteri
-        (fun i dp ->
-          let sw_id = Data_plane.id dp in
-          let installed = Prefix.Set.of_list (Data_plane.rules_of dp ~owner:id) in
-          let added = ref Prefix.Set.empty in
-          Prefix.Set.iter
-            (fun p ->
-              if (not (Prefix.Set.mem p installed)) && budgets.{i} > 0 then begin
-                jot t (Journal.Install { epoch = t.epoch; task_id = id; switch = sw_id; prefix = p });
-                match Data_plane.install dp ~owner:id p with
-                | Ok () ->
-                  budgets.{i} <- budgets.{i} - 1;
-                  added := Prefix.Set.add p !added;
-                  if Switch_id.Set.mem sw_id t.recovered_now then
-                    Ctr.incr t.rob.recovery_reinstalls
-                | Error `Failed ->
-                  (* The attempt consumed an update slot; the rule stays
-                     desired and is retried next epoch. *)
-                  budgets.{i} <- budgets.{i} - 1;
-                  Ctr.incr t.rob.install_failures
-                | Error (`Capacity | `Duplicate | `Down | `Unreachable) -> ()
-              end)
-            per_switch.(i);
-          if not (Prefix.Set.is_empty !added) then begin
-            fresh := Switch_id.Map.add sw_id !added !fresh;
-            installs := Switch_id.Map.add sw_id (Prefix.Set.cardinal !added) !installs
-          end)
-        t.planes;
+      for i = 0 to Array.length t.planes - 1 do
+        let dp = t.planes.(i) in
+        let sw_id = Data_plane.id dp in
+        budgets.{i} <-
+          Rule_sync.install_missing ~journal:t.journal ~epoch:t.epoch dp ~owner:id
+            ~desired:desired.(i) ~budget:budgets.{i} tally;
+        Ctr.add t.rob.install_failures tally.Rule_sync.failed;
+        if tally.Rule_sync.landed > 0 then begin
+          if Switch_id.Set.mem sw_id t.recovered_now then
+            Ctr.add t.rob.recovery_reinstalls tally.Rule_sync.landed;
+          fresh := Switch_id.Map.add sw_id tally.Rule_sync.fresh !fresh;
+          installs := Switch_id.Map.add sw_id tally.Rule_sync.landed !installs
+        end
+      done;
       r.fresh_rules <- !fresh;
       r.last_install_counts <- !installs;
       if tracing then begin
@@ -1689,6 +1763,11 @@ let parse_snapshot r =
   let p_faults = if C.bool_field r "has_faults" then Some (Fault_model.parse r) else None in
   let p_breakers = C.repeat (C.int_field r "breakers") (fun () -> Breaker.parse r) in
   let num_switches = C.int_field r "num_switches" in
+  if num_switches > Switch_id.max_switches then
+    invalid_arg
+      (Printf.sprintf
+         "Controller.restore: checkpoint has %d switches, more than Switch_id.max_switches (%d)"
+         num_switches Switch_id.max_switches);
   let p_switches =
     C.repeat num_switches (fun () ->
         C.expect_section r "switch";
@@ -1749,6 +1828,7 @@ let controller_of_parsed d ~switches ~planes ~faults ~tel =
     breakers = Array.of_list d.p_breakers;
     storm_pending = 0;
     arena = Arena.create ();
+    tally = Rule_sync.new_tally ();
   }
 
 let restore s =

@@ -30,7 +30,8 @@ val create :
   num_switches:int ->
   capacity:int ->
   t
-(** @raise Invalid_argument if [num_switches <= 0] or [capacity <= 0]. *)
+(** @raise Invalid_argument if [num_switches <= 0], [num_switches >
+    Switch_id.max_switches] or [capacity <= 0]. *)
 
 val epoch : t -> int
 (** Next epoch to be simulated (0 before the first {!tick}). *)
@@ -57,6 +58,52 @@ val tick : t -> unit
 
 val run : t -> epochs:int -> unit
 (** [tick] repeatedly. *)
+
+(** Rule sync of one task on one switch, as {!tick} runs it after
+    divide-and-merge: first every task's removals, then every task's
+    installs, each switch's per-epoch update budget shared across tasks.
+    Desired and installed rules are both sorted by
+    {!Dream_prefix.Prefix.compare}, so each pass is one merge walk over
+    the two lists. *)
+module Rule_sync : sig
+  val remove_stale :
+    journal:Dream_recovery.Journal.sink option ->
+    epoch:int ->
+    Dream_switch.Data_plane.t ->
+    owner:int ->
+    desired:Dream_prefix.Prefix.t list ->
+    budget:int ->
+    int
+  (** Delete, in prefix order, each installed rule of [owner] that is not
+      in [desired] (sorted, no duplicates), journaling a [Delete] before
+      each attempt, while [budget] is positive.  Every acknowledged
+      removal spends one update; a switch that is down or unreachable
+      spends none.  Returns the budget left. *)
+
+  type tally = {
+    mutable fresh : Dream_prefix.Prefix.Set.t;  (** rules that landed *)
+    mutable landed : int;  (** their number *)
+    mutable failed : int;  (** attempts the data plane dropped ([`Failed]) *)
+  }
+
+  val new_tally : unit -> tally
+
+  val install_missing :
+    journal:Dream_recovery.Journal.sink option ->
+    epoch:int ->
+    Dream_switch.Data_plane.t ->
+    owner:int ->
+    desired:Dream_prefix.Prefix.t list ->
+    budget:int ->
+    tally ->
+    int
+  (** Install, in prefix order, each rule of [desired] (sorted, no
+      duplicates) that [owner] does not have yet, journaling an [Install]
+      before each attempt, while [budget] is positive.  Landed and failed
+      attempts spend one update each; a full table, a down or unreachable
+      switch spend none.  Resets the tally, then fills it.  Returns the
+      budget left. *)
+end
 
 val active_tasks : t -> int
 
@@ -190,7 +237,9 @@ val checkpoint : t -> string
 val restore : string -> (t, string) result
 (** Rebuild a standalone controller from a {!snapshot} document,
     reconstructing the switch network and fault model from the checkpoint.
-    [Error] on a bad checksum, wrong magic, or malformed body. *)
+    [Error] on a bad checksum, wrong magic, or malformed body.
+    @raise Invalid_argument if the checkpoint holds more than
+    {!Dream_traffic.Switch_id.max_switches} switches. *)
 
 type env
 (** The part of the simulation that outlives a controller crash: switches

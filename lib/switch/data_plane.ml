@@ -28,6 +28,8 @@ let latency_factor t =
 
 let rules_of t ~owner = Tcam.rules_of (tcam t) ~owner
 
+let rule_count t ~owner = Tcam.used_by (tcam t) ~owner
+
 let read t ~owner aggregate =
   if down t then Error `Down
     (* A partition is not a timeout: nothing is routed, so the fetch is

@@ -44,6 +44,10 @@ val latency_factor : t -> float
 
 val rules_of : t -> owner:int -> Dream_prefix.Prefix.t list
 
+val rule_count : t -> owner:int -> int
+(** [List.length (rules_of t ~owner)] without building the list; like
+    {!rules_of}, it reads the TCAM even when the switch is down. *)
+
 val read :
   t ->
   owner:int ->

@@ -16,4 +16,5 @@ val capacity : t -> int
 val network : num_switches:int -> capacity:int -> t array
 (** [network ~num_switches ~capacity] builds switches 0..n-1 with equal
     capacity, indexed by id.
-    @raise Invalid_argument if [num_switches <= 0] or [capacity <= 0]. *)
+    @raise Invalid_argument if [num_switches <= 0], [num_switches >
+    Switch_id.max_switches] or [capacity <= 0]. *)

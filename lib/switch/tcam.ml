@@ -33,9 +33,9 @@ let table t owner =
     set
 
 let used_by t ~owner =
-  match Hashtbl.find_opt t.tables owner with
-  | Some set -> Prefix.Set.cardinal !set
-  | None -> 0
+  match Hashtbl.find t.tables owner with
+  | set -> Prefix.Set.cardinal !set
+  | exception Not_found -> 0
 
 let owners t =
   Hashtbl.fold (fun owner set acc -> if Prefix.Set.is_empty !set then acc else owner :: acc) t.tables []

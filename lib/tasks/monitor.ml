@@ -1,9 +1,63 @@
 module Prefix = Dream_prefix.Prefix
-module Trie = Dream_prefix.Trie
 module Switch_id = Dream_traffic.Switch_id
 module Topology = Dream_traffic.Topology
 module Ewma = Dream_util.Ewma
 module Heap = Dream_util.Heap
+module Arena = Dream_util.Arena
+
+(* Flat buffers of [Cover] (below), one arena per monitor so that builds
+   stop allocating once the buffers reach their high-water mark.  Prefixes
+   are kept as (first address, length) pairs and switch sets as their
+   bitmasks. *)
+type cover_buffers = {
+  arena : Arena.t;
+  mutable cand_valid : bool; (* the candidates describe the current counters *)
+  mutable cand_n : int; (* candidates of the last build *)
+  mutable cand_first : Arena.ints; (* candidate prefix: first address *)
+  mutable cand_len : Arena.ints; (* candidate prefix: length *)
+  mutable cand_t : Arena.ints; (* T set: switches freed by merging it *)
+  mutable cand_cost : Arena.floats; (* total score of its descendant counters *)
+  mutable cand_alive : Arena.ints; (* 0 once a merge has swallowed it *)
+  mutable cand_live : Arena.ints; (* solve scratch: still selectable *)
+  mutable cheapest : Arena.floats; (* per switch, see [Cover.min_cost_bound] *)
+  mutable acc : Arena.floats; (* one-cell float accumulator *)
+  (* the sorted counters, snapshotted for the build walk *)
+  mutable ctr_first : Arena.ints;
+  mutable ctr_len : Arena.ints;
+  mutable ctr_eff : Arena.ints; (* effective switch set *)
+  mutable ctr_score : Arena.floats;
+  (* per-node results of the build walk, two registers per trie depth *)
+  mutable reg_s : Arena.ints;
+  mutable reg_t : Arena.ints;
+  mutable reg_count : Arena.ints;
+  mutable reg_cost : Arena.floats;
+}
+
+let cover_buffers () =
+  let arena = Arena.create () in
+  let ints slot = Arena.ints arena ~slot ~len:0 in
+  let floats slot = Arena.floats arena ~slot ~len:0 in
+  {
+    arena;
+    cand_valid = false;
+    cand_n = 0;
+    cand_first = ints 0;
+    cand_len = ints 1;
+    cand_t = ints 2;
+    cand_cost = floats 0;
+    cand_alive = ints 3;
+    cand_live = ints 4;
+    cheapest = floats 1;
+    acc = floats 2;
+    ctr_first = ints 5;
+    ctr_len = ints 6;
+    ctr_eff = ints 7;
+    ctr_score = floats 3;
+    reg_s = ints 8;
+    reg_t = ints 9;
+    reg_count = ints 10;
+    reg_cost = floats 4;
+  }
 
 type t = {
   spec : Task_spec.t;
@@ -15,6 +69,7 @@ type t = {
   mutable usage : int Switch_id.Map.t; (* entries per active switch, kept incrementally *)
   mutable active : Switch_id.Set.t; (* switches with a non-zero allocation *)
   mutable sorted_cache : Counter.t list option; (* counters in prefix order *)
+  cover : cover_buffers;
 }
 
 (* The switches a counter actually occupies: its traffic switches that the
@@ -55,6 +110,7 @@ let create ~spec ~topology =
       usage = Switch_id.Map.empty;
       active = Topology.switch_set topology spec.Task_spec.filter;
       sorted_cache = None;
+      cover = cover_buffers ();
     }
   in
   add_counter t (new_counter t spec.Task_spec.filter);
@@ -138,147 +194,289 @@ let bottlenecked t ~allocations =
 module Cover = struct
   type solution = { ancestors : Prefix.t list; cost : float }
 
-  type node_info = {
-    s : Switch_id.Set.t; (* switches with traffic under this node *)
-    t_set : Switch_id.Set.t; (* switches freed by merging this node *)
-    cost : float; (* total score of descendant counters *)
-    count : int; (* descendant monitored counters *)
-  }
+  type candidates = cover_buffers
 
-  let build_candidates t =
-    (* The monitored counters, sorted by prefix, ARE the trie: walk the
-       structural nodes they imply instead of path-copying a fresh
-       immutable trie on every build (the single largest allocation site
-       of the configure phase before the zero-alloc pass). *)
-    let bindings =
-      Array.map (fun (c : Counter.t) -> (c.prefix, c)) (Array.of_list (counters t))
-    in
-    let candidates = ref [] in
-    let merge_info prefix (value : Counter.t option) (children : node_info list) =
-      match value with
-      | Some c ->
-        (* Partition invariant: monitored nodes have no monitored
-           descendants, so children must be empty. *)
-        { s = effective t c; t_set = Switch_id.Set.empty; cost = c.score; count = 1 }
-      | None ->
-        let info =
-          match children with
-          | [ only ] -> { only with t_set = only.t_set }
-          | [ l; r ] ->
-            {
-              s = Switch_id.Set.union l.s r.s;
-              t_set =
-                Switch_id.Set.union
-                  (Switch_id.Set.union l.t_set r.t_set)
-                  (Switch_id.Set.inter l.s r.s);
-              cost = l.cost +. r.cost;
-              count = l.count + r.count;
-            }
-          | _ -> { s = Switch_id.Set.empty; t_set = Switch_id.Set.empty; cost = 0.0; count = 0 }
-        in
-        if (not (Switch_id.Set.is_empty info.t_set)) && info.count >= 2 then
-          candidates := (prefix, info) :: !candidates;
-        info
-    in
-    ignore
-      (Trie.fold_bindings_bottom_up ~root:t.spec.Task_spec.filter bindings ~f:merge_info);
-    !candidates
+  let address_bits = Prefix.address_bits
 
-  type candidates = {
-    cands : (Prefix.t * node_info) list;
-    cheapest_per_switch : float Switch_id.Map.t;
-        (* lower bound on the cost of any candidate freeing each switch;
-           stays a valid lower bound across repairs *)
-  }
+  let no_merge = Some { ancestors = []; cost = 0.0 }
+
+  (* [Prefix.covers] on (first address, length) pairs. *)
+  let covers a_bits a_len b_bits b_len =
+    a_len <= b_len && b_bits lsr (address_bits - a_len) = a_bits lsr (address_bits - a_len)
+
+  let set_at (buf : Arena.ints) i = Switch_id.Set.of_bits buf.{i}
+
+  let rec snapshot b t i = function
+    | [] -> ()
+    | (c : Counter.t) :: rest ->
+      b.ctr_first.{i} <- Prefix.first_address c.prefix;
+      b.ctr_len.{i} <- Prefix.length c.prefix;
+      b.ctr_eff.{i} <- (effective t c :> int);
+      b.ctr_score.{i} <- c.score;
+      snapshot b t (i + 1) rest
+
+  (* First counter index in [lo, hi) whose first address is >= [key]. *)
+  let rec bisect b lo hi key =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if b.ctr_first.{mid} < key then bisect b (mid + 1) hi key else bisect b lo mid key
+    end
+
+  let rec copy_prefix (src : Arena.ints) (dst : Arena.ints) i =
+    if i > 0 then begin
+      dst.{i - 1} <- src.{i - 1};
+      copy_prefix src dst (i - 1)
+    end
+
+  let rec copy_prefix_floats (src : Arena.floats) (dst : Arena.floats) i =
+    if i > 0 then begin
+      dst.{i - 1} <- src.{i - 1};
+      copy_prefix_floats src dst (i - 1)
+    end
+
+  (* Only reached when the counters do not partition the filter: a
+     partition of n counters has at most n - 1 candidates. *)
+  let grow b =
+    let len = max 8 (2 * b.cand_n) in
+    let bits = b.cand_first and plen = b.cand_len and t_sets = b.cand_t and costs = b.cand_cost in
+    b.cand_first <- Arena.ints b.arena ~slot:0 ~len;
+    b.cand_len <- Arena.ints b.arena ~slot:1 ~len;
+    b.cand_t <- Arena.ints b.arena ~slot:2 ~len;
+    b.cand_cost <- Arena.floats b.arena ~slot:0 ~len;
+    copy_prefix bits b.cand_first b.cand_n;
+    copy_prefix plen b.cand_len b.cand_n;
+    copy_prefix t_sets b.cand_t b.cand_n;
+    copy_prefix_floats costs b.cand_cost b.cand_n
+
+  let push b bits len o =
+    if b.cand_n >= Bigarray.Array1.dim b.cand_first then grow b;
+    b.cand_first.{b.cand_n} <- bits;
+    b.cand_len.{b.cand_n} <- len;
+    b.cand_t.{b.cand_n} <- b.reg_t.{o};
+    b.cand_cost.{b.cand_n} <- b.reg_cost.{o};
+    b.cand_n <- b.cand_n + 1
+
+  (* Post-order over the structural trie the sorted counters imply — every
+     prefix on a path from the filter to a counter — without building it.
+     The node at [bits]/[len] spans counters [lo, hi) and leaves its
+     (S, T, cost, count) in register [o]; its children use registers
+     [2 (len + 1)] (the left, or an only child) and [2 (len + 1) + 1] (the
+     right), which no deeper node touches.  The right subtree is visited
+     first: candidates are pushed in the order that walk finalises them,
+     which [build] then reverses into the order callers see. *)
+  let rec visit b bits len lo hi o =
+    let value = b.ctr_first.{lo} = bits && b.ctr_len.{lo} = len in
+    let first = if value then lo + 1 else lo in
+    let l_reg = 2 * (len + 1) in
+    let r_reg = l_reg + 1 in
+    let children =
+      if first >= hi || len = address_bits then 0
+      else begin
+        let r_bits = bits lor (1 lsl (address_bits - len - 1)) in
+        let mid = bisect b first hi r_bits in
+        if first < mid && mid < hi then begin
+          visit b r_bits (len + 1) mid hi r_reg;
+          visit b bits (len + 1) first mid l_reg;
+          2
+        end
+        else if first < mid then begin
+          visit b bits (len + 1) first mid l_reg;
+          1
+        end
+        else begin
+          visit b r_bits (len + 1) mid hi l_reg;
+          1
+        end
+      end
+    in
+    if value then begin
+      (* Partition invariant: a monitored node has no monitored
+         descendants, so it is a leaf of the walk. *)
+      b.reg_s.{o} <- b.ctr_eff.{lo};
+      b.reg_t.{o} <- (Switch_id.Set.empty :> int);
+      b.reg_cost.{o} <- b.ctr_score.{lo};
+      b.reg_count.{o} <- 1
+    end
+    else begin
+      if children = 2 then begin
+        let l_s = set_at b.reg_s l_reg and r_s = set_at b.reg_s r_reg in
+        b.reg_s.{o} <- (Switch_id.Set.union l_s r_s :> int);
+        b.reg_t.{o} <-
+          (Switch_id.Set.union
+             (Switch_id.Set.union (set_at b.reg_t l_reg) (set_at b.reg_t r_reg))
+             (Switch_id.Set.inter l_s r_s)
+            :> int);
+        b.reg_cost.{o} <- b.reg_cost.{l_reg} +. b.reg_cost.{r_reg};
+        b.reg_count.{o} <- b.reg_count.{l_reg} + b.reg_count.{r_reg}
+      end
+      else if children = 1 then begin
+        b.reg_s.{o} <- b.reg_s.{l_reg};
+        b.reg_t.{o} <- b.reg_t.{l_reg};
+        b.reg_cost.{o} <- b.reg_cost.{l_reg};
+        b.reg_count.{o} <- b.reg_count.{l_reg}
+      end
+      else begin
+        b.reg_s.{o} <- (Switch_id.Set.empty :> int);
+        b.reg_t.{o} <- (Switch_id.Set.empty :> int);
+        b.reg_cost.{o} <- 0.0;
+        b.reg_count.{o} <- 0
+      end;
+      if (not (Switch_id.Set.is_empty (set_at b.reg_t o))) && b.reg_count.{o} >= 2 then
+        push b bits len o
+    end
+
+  let rec reverse b i j =
+    if i < j then begin
+      let bits = b.cand_first.{i} and len = b.cand_len.{i} and t_set = b.cand_t.{i} in
+      let cost = b.cand_cost.{i} in
+      b.cand_first.{i} <- b.cand_first.{j};
+      b.cand_len.{i} <- b.cand_len.{j};
+      b.cand_t.{i} <- b.cand_t.{j};
+      b.cand_cost.{i} <- b.cand_cost.{j};
+      b.cand_first.{j} <- bits;
+      b.cand_len.{j} <- len;
+      b.cand_t.{j} <- t_set;
+      b.cand_cost.{j} <- cost;
+      reverse b (i + 1) (j - 1)
+    end
+
+  (* Lower the per-switch cheapest bound to candidate [i]'s cost on every
+     switch of its T set, walking the mask from switch [sw]. *)
+  let rec lower_cheapest b i mask sw =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then b.cheapest.{sw} <- Float.min b.cheapest.{sw} b.cand_cost.{i};
+      lower_cheapest b i (mask lsr 1) (sw + 1)
+    end
 
   let build t =
-    let cands = build_candidates t in
-    let cheapest_per_switch =
-      List.fold_left
-        (fun acc (_, info) ->
-          Switch_id.Set.fold
-            (fun sw acc ->
-              let current =
-                match Switch_id.Map.find_opt sw acc with Some v -> v | None -> Float.infinity
-              in
-              Switch_id.Map.add sw (Float.min current info.cost) acc)
-            info.t_set acc)
-        Switch_id.Map.empty cands
-    in
-    { cands; cheapest_per_switch }
+    let b = t.cover in
+    let counters = counters t in
+    let n = num_counters t in
+    b.ctr_first <- Arena.ints b.arena ~slot:5 ~len:n;
+    b.ctr_len <- Arena.ints b.arena ~slot:6 ~len:n;
+    b.ctr_eff <- Arena.ints b.arena ~slot:7 ~len:n;
+    b.ctr_score <- Arena.floats b.arena ~slot:3 ~len:n;
+    let regs = 2 * (address_bits + 2) in
+    b.reg_s <- Arena.ints b.arena ~slot:8 ~len:regs;
+    b.reg_t <- Arena.ints b.arena ~slot:9 ~len:regs;
+    b.reg_count <- Arena.ints b.arena ~slot:10 ~len:regs;
+    b.reg_cost <- Arena.floats b.arena ~slot:4 ~len:regs;
+    b.cand_first <- Arena.ints b.arena ~slot:0 ~len:n;
+    b.cand_len <- Arena.ints b.arena ~slot:1 ~len:n;
+    b.cand_t <- Arena.ints b.arena ~slot:2 ~len:n;
+    b.cand_cost <- Arena.floats b.arena ~slot:0 ~len:n;
+    b.cand_n <- 0;
+    snapshot b t 0 counters;
+    let filter = t.spec.Task_spec.filter in
+    if n > 0 then
+      visit b (Prefix.first_address filter) (Prefix.length filter) 0 n 0;
+    (* Finalisation order reversed is pre-order, left subtree first:
+       ancestors before descendants, in prefix order. *)
+    reverse b 0 (b.cand_n - 1);
+    b.cand_alive <- Arena.ints b.arena ~slot:3 ~len:b.cand_n;
+    b.cand_live <- Arena.ints b.arena ~slot:4 ~len:b.cand_n;
+    b.cheapest <- Arena.floats b.arena ~slot:1 ~len:Switch_id.max_switches;
+    b.acc <- Arena.floats b.arena ~slot:2 ~len:1;
+    Bigarray.Array1.fill b.cheapest Float.infinity;
+    for i = 0 to b.cand_n - 1 do
+      b.cand_alive.{i} <- 1;
+      lower_cheapest b i b.cand_t.{i} 0
+    done;
+    b.cand_valid <- true;
+    b
 
   (* A merge at [ancestor] turns that subtree into a single counter: every
      candidate inside it disappears; all others remain exactly valid (the
      merged counter's score is the sum of its victims').  The cheapest
      bounds are left untouched — they only ever under-estimate. *)
-  let repair_after_merge candidates ancestor =
-    {
-      candidates with
-      cands = List.filter (fun (q, _) -> not (Prefix.covers ancestor q)) candidates.cands;
-    }
+  let repair_after_merge b ancestor =
+    let a_bits = Prefix.first_address ancestor and a_len = Prefix.length ancestor in
+    for i = 0 to b.cand_n - 1 do
+      if covers a_bits a_len b.cand_first.{i} b.cand_len.{i} then b.cand_alive.{i} <- 0
+    done
+
+  let rec repair_all b = function
+    | [] -> ()
+    | ancestor :: rest ->
+      repair_after_merge b ancestor;
+      repair_all b rest
+
+  let rec max_cheapest b mask sw =
+    if mask <> 0 then begin
+      if mask land 1 <> 0 then b.acc.{0} <- Float.max b.acc.{0} b.cheapest.{sw};
+      max_cheapest b (mask lsr 1) (sw + 1)
+    end
 
   (* Lower bound on the cost of covering [f]: any solution must include,
      for each switch, a candidate at least as expensive as that switch's
      cheapest. *)
-  let min_cost_bound candidates f =
-    Switch_id.Set.fold
-      (fun sw acc ->
-        let c =
-          match Switch_id.Map.find_opt sw candidates.cheapest_per_switch with
-          | Some v -> v
-          | None -> Float.infinity
-        in
-        Float.max acc c)
-      f 0.0
+  let min_cost_bound b f =
+    b.acc.{0} <- 0.0;
+    max_cheapest b (f : Switch_id.Set.t :> int) 0;
+    b.acc.{0}
 
-  let solve_with { cands; cheapest_per_switch = _ } ~exclude f =
-    if Switch_id.Set.is_empty f then Some { ancestors = []; cost = 0.0 }
+  let prefix_at b i = Prefix.make ~bits:b.cand_first.{i} ~length:b.cand_len.{i}
+
+  let gain b i uncovered =
+    Switch_id.Set.cardinal (Switch_id.Set.inter (set_at b.cand_t i) uncovered)
+
+  (* The live candidate with the lowest cost per newly covered switch; the
+     first one on ties.  -1 when no live candidate covers anything. *)
+  let rec best_ratio b uncovered i best best_gain =
+    if i >= b.cand_n then best
     else begin
-      let keep (prefix, _) =
-        match exclude with None -> true | Some p -> not (Prefix.covers prefix p)
-      in
-      let candidates = List.filter keep cands in
-      let rec greedy chosen cost uncovered candidates =
-        if Switch_id.Set.is_empty uncovered then Some { ancestors = chosen; cost }
-        else begin
-          let useful =
-            List.filter_map
-              (fun (prefix, info) ->
-                let gain = Switch_id.Set.cardinal (Switch_id.Set.inter info.t_set uncovered) in
-                if gain = 0 then None else Some (prefix, info, gain))
-              candidates
-          in
-          match useful with
-          | [] -> None
-          | _ :: _ ->
-            let best =
-              List.fold_left
-                (fun acc (prefix, info, gain) ->
-                  let ratio = info.cost /. float_of_int gain in
-                  match acc with
-                  | Some (_, _, _, best_ratio) when best_ratio <= ratio -> acc
-                  | _ -> Some (prefix, info, gain, ratio))
-                None useful
-            in
-            begin
-              match best with
-              | None -> None
-              | Some (prefix, info, _, _) ->
-                let remaining =
-                  List.filter
-                    (fun (q, _) -> not (Prefix.covers q prefix || Prefix.covers prefix q))
-                    candidates
-                in
-                greedy (prefix :: chosen) (cost +. info.cost)
-                  (Switch_id.Set.diff uncovered info.t_set)
-                  remaining
-            end
-        end
-      in
-      greedy [] 0.0 f candidates
+      let g = if b.cand_live.{i} = 0 then 0 else gain b i uncovered in
+      if g = 0 then best_ratio b uncovered (i + 1) best best_gain
+      else if
+        best >= 0
+        && b.cand_cost.{best} /. float_of_int best_gain <= b.cand_cost.{i} /. float_of_int g
+      then best_ratio b uncovered (i + 1) best best_gain
+      else best_ratio b uncovered (i + 1) i g
+    end
+
+  let rec greedy b chosen uncovered =
+    if Switch_id.Set.is_empty uncovered then Some { ancestors = chosen; cost = b.acc.{0} }
+    else begin
+      let best = best_ratio b uncovered 0 (-1) 0 in
+      if best < 0 then None
+      else begin
+        let bits = b.cand_first.{best} and len = b.cand_len.{best} in
+        for i = 0 to b.cand_n - 1 do
+          let q_bits = b.cand_first.{i} and q_len = b.cand_len.{i} in
+          if covers q_bits q_len bits len || covers bits len q_bits q_len then b.cand_live.{i} <- 0
+        done;
+        b.acc.{0} <- b.acc.{0} +. b.cand_cost.{best};
+        greedy b (prefix_at b best :: chosen)
+          (Switch_id.Set.diff uncovered (set_at b.cand_t best))
+      end
+    end
+
+  let solve_with b ~exclude f =
+    if Switch_id.Set.is_empty f then no_merge
+    else begin
+      for i = 0 to b.cand_n - 1 do
+        b.cand_live.{i} <-
+          (match exclude with
+          | Some p
+            when covers b.cand_first.{i} b.cand_len.{i} (Prefix.first_address p) (Prefix.length p) ->
+            0
+          | Some _ | None -> b.cand_alive.{i})
+      done;
+      b.acc.{0} <- 0.0;
+      greedy b [] f
     end
 
   let solve t ~exclude f = solve_with (build t) ~exclude f
+
+  let rec alive_from b i acc =
+    if i < 0 then acc
+    else
+      alive_from b (i - 1)
+        (if b.cand_alive.{i} = 0 then acc
+         else (prefix_at b i, set_at b.cand_t i, b.cand_cost.{i}) :: acc)
+
+  let to_list b = alive_from b (b.cand_n - 1) []
 end
 
 (* ---- merge and divide ---- *)
@@ -380,17 +578,10 @@ let[@hot] divide_phase t ~allocations =
       if not (Counter.is_exact c ~leaf_length) then Heap.push heap c)
     (counters t);
   (* Cover candidates are expensive to build (a full pass over the counter
-     trie), so cache them across heap pops and invalidate only when a merge
-     or divide changes the configuration. *)
-  let cached = ref None in
-  let candidates () =
-    match !cached with
-    | Some c -> c
-    | None ->
-      let c = Cover.build t in
-      cached := Some c;
-      c
-  in
+     trie), so build them at the first blocked divide and keep them across
+     heap pops, repairing them in place after each merge. *)
+  t.cover.cand_valid <- false;
+  let candidates () = if t.cover.cand_valid then t.cover else Cover.build t in
   let push_children l r =
     let push p =
       match find t p with
@@ -445,9 +636,7 @@ let[@hot] divide_phase t ~allocations =
                 match Cover.solve_with cands ~exclude:(Some c.Counter.prefix) f with
                 | Some sol when sol.Cover.cost +. improvement_floor < c.Counter.score ->
                   apply_merges t sol;
-                  cached :=
-                    Some
-                      (List.fold_left Cover.repair_after_merge cands sol.Cover.ancestors);
+                  Cover.repair_all cands sol.Cover.ancestors;
                   (* Re-check: the merge must actually have freed room. *)
                   let still_blocked =
                     Switch_id.Set.exists
@@ -507,6 +696,7 @@ let parse r ~spec ~topology =
       usage = Switch_id.Map.empty;
       active;
       sorted_cache = None;
+      cover = cover_buffers ();
     }
   in
   let n = C.int_field r "counters" in

@@ -67,7 +67,40 @@ module Cover : sig
       frees at least one entry on every switch in [f] (the cover() function
       of Section 5.2, greedy weighted set cover over the T_j sets).
       Candidates covering [exclude] are ignored (so a merge never destroys
-      the counter about to be divided).  [None] if [f] cannot be covered. *)
+      the counter about to be divided).  [None] if [f] cannot be covered.
+      Equivalent to [solve_with (build t) ~exclude f]. *)
+
+  (** {2 Reusable candidates}
+
+      Divide-and-merge builds the candidates once and keeps them across
+      merges.  They live in flat buffers owned by the monitor, so a later
+      {!build} on the same monitor overwrites them. *)
+
+  type candidates
+
+  val build : t -> candidates
+  (** Every ancestor whose merge would free an entry on some switch and
+      destroy at least two counters, in prefix order (ancestors before
+      their descendants), with its T set and cost. *)
+
+  val to_list : candidates -> (Dream_prefix.Prefix.t * Dream_traffic.Switch_id.Set.t * float) list
+  (** The candidates still alive, in build order: (ancestor, T set, cost). *)
+
+  val min_cost_bound : candidates -> Dream_traffic.Switch_id.Set.t -> float
+  (** A lower bound on the cost of any cover of the given switches: the
+      largest per-switch cheapest candidate cost, over the candidates as
+      built (repairs leave it a valid under-estimate). *)
+
+  val solve_with :
+    candidates ->
+    exclude:Dream_prefix.Prefix.t option ->
+    Dream_traffic.Switch_id.Set.t ->
+    solution option
+  (** {!solve} over already built candidates. *)
+
+  val repair_all : candidates -> Dream_prefix.Prefix.t list -> unit
+  (** Drop, in place, every candidate the merges at these ancestors
+      swallowed (each ancestor itself and everything below it). *)
 end
 
 val configure : t -> allocations:int Dream_traffic.Switch_id.Map.t -> unit

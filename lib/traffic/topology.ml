@@ -14,7 +14,14 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+let check_num_switches fn num_switches =
+  if num_switches > Switch_id.max_switches then
+    invalid_arg
+      (Printf.sprintf "Topology.%s: num_switches must be at most %d (Switch_id.max_switches), got %d"
+         fn Switch_id.max_switches num_switches)
+
 let create rng ~filter ~num_switches ~switches_per_task =
+  check_num_switches "create" num_switches;
   if not (is_power_of_two switches_per_task) then
     invalid_arg "Topology.create: switches_per_task must be a power of two";
   if switches_per_task > num_switches then
@@ -49,6 +56,7 @@ let parse r =
   C.expect_section r "topology";
   let filter = Prefix.of_string (C.string_field r "filter") in
   let num_switches = C.int_field r "num_switches" in
+  check_num_switches "parse" num_switches;
   let switches_per_task = C.int_field r "switches_per_task" in
   let n = C.int_field r "subfilters" in
   let subfilters =
@@ -68,11 +76,15 @@ let switches_per_task t = t.switches_per_task
 
 let subfilters t = Array.to_list t.subfilters
 
-let switch_set t p =
-  Array.fold_left
-    (fun acc (sub, sw) ->
-      if Prefix.covers sub p || Prefix.covers p sub then Switch_id.Set.add sw acc else acc)
-    Switch_id.Set.empty t.subfilters
+let rec switch_set_from subs p i acc =
+  if i >= Array.length subs then acc
+  else begin
+    let sub, sw = subs.(i) in
+    switch_set_from subs p (i + 1)
+      (if Prefix.covers sub p || Prefix.covers p sub then Switch_id.Set.add sw acc else acc)
+  end
+
+let switch_set t p = switch_set_from t.subfilters p 0 Switch_id.Set.empty
 
 let switch_of_address t addr =
   if not (Prefix.contains t.filter addr) then None

@@ -18,7 +18,8 @@ val create :
 (** Split [filter] into [switches_per_task] equal sub-prefixes and map each
     to a distinct switch drawn from \[0, num_switches).
     @raise Invalid_argument unless [switches_per_task] is a power of two,
-    at most [num_switches], and [filter] is long enough to split. *)
+    at most [num_switches], [num_switches] is at most
+    {!Switch_id.max_switches}, and [filter] is long enough to split. *)
 
 val filter : t -> Dream_prefix.Prefix.t
 
@@ -41,4 +42,6 @@ val emit : Dream_util.Codec.writer -> t -> unit
     assignment) to a checkpoint document. *)
 
 val parse : Dream_util.Codec.reader -> t
-(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch. *)
+(** Inverse of {!emit}.  @raise Dream_util.Codec.Parse_error on mismatch.
+    @raise Invalid_argument if [num_switches] exceeds
+    {!Switch_id.max_switches}. *)
