@@ -1,16 +1,21 @@
+(* Exact counters whose deviation exceeds the threshold, walked from the
+   last so that consing leaves them in prefix order. *)
+let rec items monitor ~leaf_length ~threshold i acc =
+  if i < 0 then acc
+  else begin
+    let c = Monitor.get monitor i in
+    let deviation = Counter.cd_deviation c in
+    items monitor ~leaf_length ~threshold (i - 1)
+      (if Counter.is_exact c ~leaf_length && deviation > threshold then
+         { Report.prefix = c.Counter.prefix; magnitude = deviation } :: acc
+       else acc)
+  end
+
 let report monitor ~epoch =
   let spec = Monitor.spec monitor in
   let leaf_length = spec.Task_spec.leaf_length in
   let threshold = spec.Task_spec.threshold in
-  let items =
-    List.filter_map
-      (fun (c : Counter.t) ->
-        let deviation = Counter.cd_deviation c in
-        if Counter.is_exact c ~leaf_length && deviation > threshold then
-          Some { Report.prefix = c.Counter.prefix; magnitude = deviation }
-        else None)
-      (Monitor.counters monitor)
-  in
+  let items = items monitor ~leaf_length ~threshold (Monitor.num_counters monitor - 1) [] in
   { Report.kind = spec.Task_spec.kind; epoch; items }
 
 let estimate monitor ~allocations =
@@ -30,4 +35,4 @@ let estimate monitor ~allocations =
     ~detected:(fun c -> Counter.cd_deviation c > threshold)
     ~magnitude_total:Counter.cd_deviation ~magnitude_on
 
-let finish_epoch monitor = List.iter Counter.update_mean (Monitor.counters monitor)
+let finish_epoch monitor = Monitor.iter Counter.update_mean monitor

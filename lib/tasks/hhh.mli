@@ -13,13 +13,26 @@ type detection = {
   value : float;  (** estimated precision value in \{0, 0.5, 1\} *)
 }
 
-val detect : Monitor.t -> detection list
-(** Detected HHHs with their precision values, in prefix order. *)
+type cache
+(** One monitor's detections, kept until its {!Monitor.generation} moves,
+    so that {!report} and {!estimate} share one detection per epoch.  Also
+    holds the walk's scratch registers.  A cache serves a single monitor
+    (the owning task keeps it). *)
 
-val report : Monitor.t -> epoch:int -> Report.t
+val cache : unit -> cache
+
+val detections : cache -> Monitor.t -> detection list
+(** Detected HHHs with their precision values, in prefix order, computed
+    by one bottom-up walk over the counter array (read as the trie it
+    implies) unless the cache already holds them for this generation. *)
+
+val detect : Monitor.t -> detection list
+(** {!detections} through a fresh cache. *)
+
+val report : cache -> Monitor.t -> epoch:int -> Report.t
 
 val estimate :
-  Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> Accuracy.t
+  cache -> Monitor.t -> allocations:int Dream_traffic.Switch_id.Map.t -> Accuracy.t
 
 val estimate_recall : Monitor.t -> float
 (** Recall estimated like the HH estimator (Section 5.3: "for HHH tasks,

@@ -7,7 +7,12 @@
     descendants of an ancestor by that ancestor (the paper's footnote 6:
     merging to the common ancestor avoids overlapping counters).  A counter
     occupies one TCAM entry on every switch in its S set (the switches that
-    can see its traffic). *)
+    can see its traffic).
+
+    The partition is stored as one array in [Prefix.compare] order.  A
+    divide puts the left child in the parent's slot and the right child
+    next to it; a merge collapses the run of counters inside the ancestor to
+    one slot.  Readers walk the array with {!get} or {!iter}. *)
 
 type t
 
@@ -19,12 +24,33 @@ val spec : t -> Task_spec.t
 
 val topology : t -> Dream_traffic.Topology.t
 
-val counters : t -> Counter.t list
-(** Current counters, in prefix order. *)
-
 val num_counters : t -> int
 
+val get : t -> int -> Counter.t
+(** [get t i] is the [i]-th counter in prefix order, for
+    [0 <= i < num_counters t].  Counters never share a first address, so
+    the order is also first-address order.
+    @raise Invalid_argument outside that range. *)
+
+val iter : (Counter.t -> unit) -> t -> unit
+(** The counters in prefix order. *)
+
+val counters : t -> Counter.t list
+(** The counters in prefix order, as a fresh list (for tests and cold
+    paths; hot readers use {!get} or {!iter}). *)
+
+val lower_bound : t -> lo:int -> hi:int -> Dream_prefix.Prefix.address -> int
+(** [lower_bound t ~lo ~hi a] is the first index in [\[lo, hi)] whose
+    counter starts at or after address [a] ([hi] if none).  The counters
+    below a trie node form the run of indices between two such bounds, so a
+    caller can walk the trie the array implies without building it. *)
+
 val find : t -> Dream_prefix.Prefix.t -> Counter.t option
+
+val generation : t -> int
+(** Bumped by every {!ingest}, {!divide} and {!merge} (configure divides
+    and merges): results derived from the counters' prefixes and volumes
+    stay valid while it holds still. *)
 
 val switches : t -> Dream_traffic.Switch_id.Set.t
 (** All switches that see the task's filter. *)
@@ -103,6 +129,16 @@ module Cover : sig
       swallowed (each ancestor itself and everything below it). *)
 end
 
+val divide : t -> Dream_prefix.Prefix.t -> unit
+(** Replace the counter on exactly this prefix by its two children, each
+    inheriting half its score and CD mean.  No-op when no counter is on the
+    prefix or it is a /32. *)
+
+val merge : t -> Dream_prefix.Prefix.t -> unit
+(** Replace every counter under this prefix by one counter on it, carrying
+    their summed volumes, score and CD mean (summed in prefix order).
+    No-op when no counter lies strictly below it. *)
+
 val configure : t -> allocations:int Dream_traffic.Switch_id.Map.t -> unit
 (** Algorithm 2: first merge until no switch exceeds its allocation, then
     repeatedly divide the highest-scoring counter, paying for each divide
@@ -123,6 +159,8 @@ val parse :
   spec:Task_spec.t ->
   topology:Dream_traffic.Topology.t ->
   t
-(** Inverse of {!emit}; per-switch usage is rebuilt incrementally as
-    counters are re-added.  @raise Dream_util.Codec.Parse_error on
-    mismatch. *)
+(** Inverse of {!emit}; counters may be listed in any order, and
+    per-switch usage is recomputed.  @raise Dream_util.Codec.Parse_error on
+    mismatch, or when the counters do not partition the filter (one lies
+    outside it, repeats, overlaps another, or addresses are left
+    uncovered). *)

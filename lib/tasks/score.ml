@@ -21,9 +21,9 @@ let of_counter (spec : Task_spec.t) (c : Counter.t) =
 
 let apply monitor =
   let spec = Monitor.spec monitor in
-  List.iter
-    (fun (c : Counter.t) ->
-      (* Fresh counters keep their inherited half-of-parent score: their
-         volumes have not been measured yet. *)
-      if not c.Counter.fresh then c.Counter.score <- of_counter spec c)
-    (Monitor.counters monitor)
+  for i = 0 to Monitor.num_counters monitor - 1 do
+    let c = Monitor.get monitor i in
+    (* Fresh counters keep their inherited half-of-parent score: their
+       volumes have not been measured yet. *)
+    if not c.Counter.fresh then c.Counter.score <- of_counter spec c
+  done

@@ -9,6 +9,7 @@ type t = {
   spec : Task_spec.t;
   topology : Topology.t;
   monitor : Monitor.t;
+  hhh : Hhh.cache; (* HHH detections shared by report and estimate *)
   global_acc : Ewma.t;
   overall_acc : (Switch_id.t, Ewma.t) Hashtbl.t;
   accuracy_history : float;
@@ -28,6 +29,7 @@ let create ~id ~spec ~topology ?(accuracy_history = 0.4) ?(accuracy_mode = Overa
     spec;
     topology;
     monitor;
+    hhh = Hhh.cache ();
     global_acc = Ewma.create ~history:accuracy_history;
     overall_acc = Hashtbl.create 8;
     accuracy_history;
@@ -49,7 +51,7 @@ let ingest_counters t readings = Monitor.ingest t.monitor readings
 let make_report t ~epoch =
   match t.spec.Task_spec.kind with
   | Task_spec.Heavy_hitter -> Hh.report t.monitor ~epoch
-  | Task_spec.Hierarchical_heavy_hitter -> Hhh.report t.monitor ~epoch
+  | Task_spec.Hierarchical_heavy_hitter -> Hhh.report t.hhh t.monitor ~epoch
   | Task_spec.Change_detection -> Cd.report t.monitor ~epoch
 
 let overall_filter t sw =
@@ -64,7 +66,7 @@ let estimate_accuracy t =
   let accuracy =
     match t.spec.Task_spec.kind with
     | Task_spec.Heavy_hitter -> Hh.estimate t.monitor ~allocations:t.allocations
-    | Task_spec.Hierarchical_heavy_hitter -> Hhh.estimate t.monitor ~allocations:t.allocations
+    | Task_spec.Hierarchical_heavy_hitter -> Hhh.estimate t.hhh t.monitor ~allocations:t.allocations
     | Task_spec.Change_detection ->
       let acc = Cd.estimate t.monitor ~allocations:t.allocations in
       Cd.finish_epoch t.monitor;
@@ -159,6 +161,7 @@ let parse r =
     spec;
     topology;
     monitor;
+    hhh = Hhh.cache ();
     global_acc;
     overall_acc;
     accuracy_history;

@@ -16,11 +16,11 @@ let update t x =
   t.seeded <- true;
   v
 
-let value t =
-  if t.seeded then (Some t.avg) [@alloc.allow "cold read edge of the API; hot readers use value_or"]
-  else None
+let value t = if t.seeded then Some t.avg else None
 
 let value_or t default = if t.seeded then t.avg else default
+
+let seeded t = t.seeded
 
 let reset t = t.seeded <- false
 

@@ -21,6 +21,10 @@ val value : t -> float option
 val value_or : t -> float -> float
 (** [value_or t default] is the current average, or [default] if empty. *)
 
+val seeded : t -> bool
+(** Whether a sample (or {!seed}) has set the average: [value t <> None]
+    without building the option. *)
+
 val reset : t -> unit
 (** Forget all history. *)
 
